@@ -336,6 +336,15 @@ func (c *Cache) probeN(blk uint32, dirty uint8) bool {
 // equivalent sequence of Access calls would. The per-associativity inner
 // loops keep tags, state bytes and statistics in registers, so this is
 // the replay engine's hot path.
+//
+// The replay engine passes batches with same-block repeats removed and
+// credits them through AddMRUHits. Replacement is LRU, so a reference to
+// the block its predecessor in the batch stream just touched hits the
+// set's most recently used line and changes nothing but, for a write,
+// the dirty byte; the engine ORs such a write's flag into the
+// predecessor, which sets the same byte one reference earlier. The
+// engine judges blocks at the smallest block size in its group and
+// never folds into a batch the cache has already consumed.
 func (c *Cache) AccessBatch(refs []uint32) {
 	switch c.assoc {
 	case 1:
@@ -470,13 +479,24 @@ func (c *Cache) batchN(refs []uint32) {
 	c.stats.Misses += miss
 }
 
+// AddMRUHits credits n accesses that each hit their set's most
+// recently used line and change no state: the same-block repeats the
+// replay kernel collapses out of its batches (see trace.partition).
+// Under LRU such a repeat hits, its promotion is the identity, and a
+// read sets no dirty byte (the replay kernel folds a repeat's write
+// flag into the batch reference it repeats), so only Accesses moves.
+func (c *Cache) AddMRUHits(n uint64) { c.stats.Accesses += n }
+
 // AccessBatchFetch streams a block of word-aligned read addresses (no
 // flag bits) through the cache: the replay engine's instruction-fetch
 // side. It assumes the cache is never written — fetches cannot dirty a
 // line, so when every access to the cache comes through this path no
 // line is ever dirty and the kernels skip the dirty-byte bookkeeping
 // (and writeback counting, which cannot trigger) entirely. Statistics
-// match the equivalent sequence of Access(addr, false) calls.
+// match the equivalent sequence of Access(addr, false) calls. As with
+// AccessBatch, the replay engine drops fetches that repeat their
+// predecessor's block (an LRU hit on the MRU line, no state change) and
+// credits them through AddMRUHits.
 func (c *Cache) AccessBatchFetch(refs []uint32) {
 	switch c.assoc {
 	case 1:

@@ -355,10 +355,10 @@ func (rd *Reader) ReplayAll(pairs []Pair) error {
 // must be discarded.
 func (rd *Reader) ReplayAllContext(ctx context.Context, pairs []Pair) error {
 	done := ctx.Done()
-	var (
-		fetch = make([]uint32, 0, replayBlockWords)
-		data  = make([]uint32, 0, replayBlockWords)
-	)
+	var rp *replayer
+	if len(pairs) > 0 {
+		rp = newReplayer(pairs)
+	}
 	for {
 		if done != nil {
 			select {
@@ -374,10 +374,9 @@ func (rd *Reader) ReplayAllContext(ctx context.Context, pairs []Pair) error {
 		if err != nil {
 			return err
 		}
-		if len(pairs) == 0 {
-			continue
+		if rp != nil {
+			rp.chunk(c)
 		}
-		fetch, data = replayChunk(c, pairs, fetch, data)
 	}
 }
 

@@ -123,3 +123,57 @@ func FuzzReaderChunks(f *testing.F) {
 		}
 	})
 }
+
+// refsFromBytes decodes fuzz input two bytes per reference: the kind in
+// the top two bits (3 reads as a write) and a word address in the low
+// fourteen. The 64 KB address space keeps reuse, same-block runs,
+// conflicts and dirty evictions common in arbitrary input.
+func refsFromBytes(data []byte) []ref {
+	refs := make([]ref, 0, len(data)/2)
+	for ; len(data) >= 2; data = data[2:] {
+		w := binary.BigEndian.Uint16(data)
+		refs = append(refs, ref{min(Kind(w>>14), KindWrite), uint32(w&0x3FFF) << 2})
+	}
+	return refs
+}
+
+// refBytes is refsFromBytes' inverse for references below 64 KB.
+func refBytes(refs []ref) []byte {
+	out := make([]byte, 0, 2*len(refs))
+	for _, x := range refs {
+		out = binary.BigEndian.AppendUint16(out, uint16(x.k)<<14|uint16(x.addr>>2&0x3FFF))
+	}
+	return out
+}
+
+// FuzzReplayAllMatchesScalar replays arbitrary reference streams
+// through a group mixing block sizes and associativities, with
+// Recording.ReplayAll and with a Reader over the compacted recording,
+// and requires both to match per-reference Access exactly. Each stream
+// is replayed twice: as is, and behind a fetch run that puts its
+// midpoint on a replay-block edge. (TestReplayMatchesInlineFanOut
+// covers the chunk edges, which are replay-block edges too; padding to
+// one here would cut the fuzzing rate tenfold.) The first seed holds
+// write→read, read→write and write→write runs within one 8-byte block
+// (the group's smallest), a read→write run across the midpoint, and
+// conflicting reads that evict each run's block from the direct-mapped
+// members, so a lost write flag shows as a missing writeback.
+func FuzzReplayAllMatchesScalar(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(refBytes([]ref{
+		{KindWrite, 0x140}, {KindRead, 0x144}, {KindRead, 0x180}, {KindWrite, 0x184},
+		{KindFetch, 0x0}, {KindRead, 0x100}, // midpoint
+		{KindWrite, 0x104}, {KindWrite, 0x1C0}, {KindWrite, 0x1C4},
+		{KindRead, 0x1100}, {KindRead, 0x1180}, {KindRead, 0x11C0}, {KindFetch, 0x4},
+	}))
+	f.Add(refBytes(randomRefs(5, 1000)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		refs := refsFromBytes(data)
+		if len(refs) > 2*replayBlockWords {
+			return
+		}
+		checkReplayExact(t, refs, mixedGrid)
+		pad := make([]ref, replayBlockWords-len(refs)/2) // fetches of address 0
+		checkReplayExact(t, append(pad, refs...), mixedGrid)
+	})
+}

@@ -3,6 +3,8 @@ package trace
 import (
 	"context"
 	"errors"
+	"math"
+	"math/bits"
 
 	"jmtam/internal/cache"
 	"jmtam/internal/mem"
@@ -149,10 +151,11 @@ func (r *Recording) Replay(p Pair) {
 // ReplayAll streams the recording through any number of cache pairs in
 // one pass: each block of packed words is decoded once and partitioned
 // into an instruction-fetch stream and a data stream (write flag in bit
-// 0), then every resident pair's I and D caches consume the partitions
-// while they are hot in L1. Per-pair statistics are identical to len(p)
-// independent Replay passes — the stream just isn't re-read and
-// re-decoded per geometry.
+// 0), same-block repeats collapsed (see partition), then every resident
+// pair's I and D caches consume the partitions while they are hot in
+// L1. Per-pair statistics are identical to len(p) independent Replay
+// passes, and to per-reference Access — the stream just isn't re-read
+// and re-decoded per geometry.
 func (r *Recording) ReplayAll(pairs []Pair) {
 	r.replayAll(nil, pairs)
 }
@@ -178,10 +181,7 @@ func (r *Recording) replayAll(done <-chan struct{}, pairs []Pair) error {
 	if len(pairs) == 0 {
 		return nil
 	}
-	var (
-		fetch = make([]uint32, 0, replayBlockWords)
-		data  = make([]uint32, 0, replayBlockWords)
-	)
+	rp := newReplayer(pairs)
 	for _, c := range r.chunks() {
 		if done != nil {
 			select {
@@ -190,47 +190,97 @@ func (r *Recording) replayAll(done <-chan struct{}, pairs []Pair) error {
 			default:
 			}
 		}
-		fetch, data = replayChunk(c, pairs, fetch, data)
+		rp.chunk(c)
 	}
 	return nil
 }
 
-// replayChunk partitions one packed chunk block-by-block and drives
-// every resident pair's I and D caches while each block is hot in L1.
-// It is the shared kernel of Recording.ReplayAll and Reader.ReplayAll;
-// fetch and data are reusable scratch buffers, returned for reuse.
-func replayChunk(c []uint32, pairs []Pair, fetch, data []uint32) ([]uint32, []uint32) {
+// replayer is the shared kernel of Recording.ReplayAll and
+// Reader.ReplayAll: the pairs being replayed, the block size that
+// defines a same-block repeat for all of them, and reusable partition
+// buffers.
+type replayer struct {
+	pairs       []Pair
+	shift       uint32 // log2 of the smallest block size among pairs
+	fetch, data []uint32
+}
+
+func newReplayer(pairs []Pair) *replayer {
+	minBlock := math.MaxInt
+	for _, p := range pairs {
+		minBlock = min(minBlock, p.I.Config().BlockBytes, p.D.Config().BlockBytes)
+	}
+	return &replayer{
+		pairs: pairs,
+		shift: uint32(bits.TrailingZeros(uint(minBlock))),
+		fetch: make([]uint32, 0, replayBlockWords),
+		data:  make([]uint32, 0, replayBlockWords),
+	}
+}
+
+// chunk partitions one packed chunk block-by-block and drives every
+// pair's I and D caches while each block is hot in L1. The references
+// partition collapsed are credited to each cache as MRU hits.
+func (rp *replayer) chunk(c []uint32) {
 	for off := 0; off < len(c); off += replayBlockWords {
-		end := off + replayBlockWords
-		if end > len(c) {
-			end = len(c)
-		}
-		fetch, data = partition(c[off:end], fetch[:0], data[:0])
-		for _, p := range pairs {
+		end := min(off+replayBlockWords, len(c))
+		fRep, dRep := rp.partition(c[off:end])
+		for _, p := range rp.pairs {
 			// The I-cache only ever sees this read-only fetch
 			// stream, so the no-dirty-state kernel applies.
-			p.I.AccessBatchFetch(fetch)
-			p.D.AccessBatch(data)
+			p.I.AccessBatchFetch(rp.fetch)
+			p.I.AddMRUHits(fRep)
+			p.D.AccessBatch(rp.data)
+			p.D.AddMRUHits(dRep)
 		}
 	}
-	return fetch, data
 }
 
 // partition decodes one block of packed trace words into the
 // instruction-fetch address stream and the data stream. Data references
 // carry the write flag in bit 0 (addresses are word-aligned, so the bit
 // is free); KindWrite is 2 and KindRead 1, so kind>>1 is that flag.
-func partition(block []uint32, fetch, data []uint32) ([]uint32, []uint32) {
+//
+// A reference to the same block as the previous reference of its
+// stream is dropped and counted in the returned repeat totals. This is
+// exact for every pair because the caches are LRU: the previous
+// reference left that block resident and most recently used in its
+// set, so the repeat hits and leaves the recency order unchanged.
+// Blocks are taken at the smallest block size among the pairs, and a
+// block at that size lies within one block of every larger size. The
+// only state a repeat can change is the dirty byte, so a dropped data
+// reference ORs its write flag into the kept one: the line is dirtied
+// (or allocated dirty) one reference early, which no intervening
+// reference of the data stream can observe, giving the same misses,
+// dirty state and writebacks. Run tracking restarts with each block,
+// because the caches consume a block before the next is partitioned
+// and a consumed reference can no longer take a folded flag.
+func (rp *replayer) partition(block []uint32) (fRep, dRep uint64) {
+	fetch, data := rp.fetch[:0], rp.data[:0]
+	shift := rp.shift
+	lastF, lastD := ^uint32(0), ^uint32(0) // no block number reaches 2^32-1
 	for _, w := range block {
 		k := w >> kindShift
 		addr := w << 2 & (addrMask << 2)
-		if k == uint32(KindFetch) {
+		blk := addr >> shift
+		switch {
+		case k == uint32(KindFetch):
+			if blk == lastF {
+				fRep++
+				continue
+			}
+			lastF = blk
 			fetch = append(fetch, addr)
-		} else {
+		case blk == lastD:
+			dRep++
+			data[len(data)-1] |= k >> 1
+		default:
+			lastD = blk
 			data = append(data, addr|k>>1)
 		}
 	}
-	return fetch, data
+	rp.fetch, rp.data = fetch, data
+	return fRep, dRep
 }
 
 // ReplayPair builds a fresh pair of the given geometry and replays the

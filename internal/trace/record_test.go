@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"context"
 	"testing"
 
 	"jmtam/internal/cache"
@@ -78,95 +80,166 @@ func TestRecordingChunkRollover(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesInlineFanOut drives an identical synthetic stream
-// through an inline Collector pair and a record/replay pass, and
-// requires identical cache statistics.
+// TestReplayMatchesInlineFanOut drives identical streams through an
+// inline Collector (per-reference Access) and through both replay
+// paths, and requires identical cache statistics. Besides a synthetic
+// stream with reuse, conflict misses and dirty evictions, it covers the
+// shapes the replay kernel's same-block collapse must get right: runs
+// across the replay-block and chunk edges, read→write and write→read
+// runs within one block, and a group mixing block sizes and
+// associativities.
 func TestReplayMatchesInlineFanOut(t *testing.T) {
-	cfgs := []cache.Config{
-		{SizeBytes: 1024, BlockBytes: 64, Assoc: 1},
-		{SizeBytes: 8192, BlockBytes: 8, Assoc: 4},
+	var synthetic []ref
+	for i := uint32(0); i < 3000; i++ {
+		synthetic = append(synthetic,
+			ref{KindFetch, mem.UserCodeBase + 4*(i%700)},
+			ref{KindRead, mem.HeapBase + 64*(i%50)})
+		if i%3 == 0 {
+			synthetic = append(synthetic, ref{KindWrite, mem.FrameBase + 64*(i%90)})
+		}
+		if i%7 == 0 {
+			synthetic = append(synthetic, ref{KindRead, mem.HeapBase + 1024*i%0x10000})
+		}
 	}
+	for _, tc := range []struct {
+		name string
+		refs []ref
+	}{
+		{"synthetic", synthetic},
+		{"edges", edgeRefs()},
+		{"random", randomRefs(11, chunkWords+3*replayBlockWords)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkReplayExact(t, tc.refs, mixedGrid) })
+	}
+}
+
+// mixedGrid is one replay group mixing 8, 32 and 64 B blocks with 1-,
+// 2-, 4- and 8-way sets, so same-block repeats are judged at the 8 B
+// granularity while most members have larger blocks.
+var mixedGrid = []cache.Config{
+	{SizeBytes: 1024, BlockBytes: 64, Assoc: 1},
+	{SizeBytes: 2048, BlockBytes: 32, Assoc: 2},
+	{SizeBytes: 8192, BlockBytes: 8, Assoc: 4},
+	{SizeBytes: 8192, BlockBytes: 64, Assoc: 8},
+	{SizeBytes: 512, BlockBytes: 8, Assoc: 1},
+	{SizeBytes: 4096, BlockBytes: 64, Assoc: 4},
+}
+
+// edgeRefs builds a stream whose same-block runs straddle replay-block
+// and chunk edges. At each edge a data run reads one block just before
+// the edge and writes it just after, followed by read→write,
+// write→read and write→write runs; conflicting reads 4 KB apart (a
+// multiple of every mixedGrid member's set span) then evict the block
+// from every geometry, so a write flag lost across the edge shows as a
+// missing writeback. Fetches wrapping through 8 KB of code pad the
+// stream and form fetch runs across the same edges.
+func edgeRefs() []ref {
+	var out []ref
+	pc := func() uint32 { return 4 * uint32(len(out)%2048) }
+	padTo := func(n int) {
+		for len(out) < n {
+			out = append(out, ref{KindFetch, pc()})
+		}
+	}
+	for i, edge := range []int{replayBlockWords, 2 * replayBlockWords, chunkWords, chunkWords + replayBlockWords} {
+		b := 0x2000 + uint32(i)*0x100
+		padTo(edge - 2)
+		out = append(out,
+			ref{KindRead, b}, ref{KindRead, b + 4}, // before the edge
+			ref{KindWrite, b}, ref{KindRead, b + 4}, // after it
+			ref{KindFetch, pc()}, ref{KindFetch, pc()},
+			ref{KindRead, b + 0x40}, ref{KindWrite, b + 0x44},
+			ref{KindWrite, b + 0x80}, ref{KindRead, b + 0x84},
+			ref{KindWrite, b + 0xC0}, ref{KindWrite, b + 0xC4})
+		for k := uint32(1); k <= 9; k++ {
+			for off := uint32(0); off < 0x100; off += 0x40 {
+				out = append(out, ref{KindRead, b + off + k*0x1000})
+			}
+		}
+	}
+	padTo(len(out) + 100)
+	return out
+}
+
+// checkReplayExact replays refs through fresh pairs of every geometry
+// with Recording.ReplayAll and with Reader.ReplayAllContext over the
+// compacted recording, and requires every cache.Stats field, Accesses
+// included, to equal per-reference Access through an inline Collector.
+func checkReplayExact(t testing.TB, refs []ref, cfgs []cache.Config) {
+	t.Helper()
 	var col Collector
 	for _, cfg := range cfgs {
 		if _, err := col.AddPair(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var rec Recording
-	emit := func(tr machineTracer) {
-		// A stream with reuse, conflict misses and dirty evictions.
-		for i := uint32(0); i < 3000; i++ {
-			tr.Fetch(mem.UserCodeBase + 4*(i%700))
-			tr.Read(mem.HeapBase + 64*(i%50))
-			if i%3 == 0 {
-				tr.Write(mem.FrameBase + 64*(i%90))
-			}
-			if i%7 == 0 {
-				tr.Read(mem.HeapBase + 1024*i%0x10000)
-			}
+	for _, x := range refs {
+		switch x.k {
+		case KindFetch:
+			col.Fetch(x.addr)
+		case KindRead:
+			col.Read(x.addr)
+		default:
+			col.Write(x.addr)
 		}
 	}
-	emit(&col)
-	emit(&rec)
-	for i, cfg := range cfgs {
-		p, err := rec.ReplayPair(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := col.Pairs[i]
-		if p.I.Stats() != want.I.Stats() {
-			t.Errorf("%v: replayed I stats %+v != inline %+v", cfg, p.I.Stats(), want.I.Stats())
-		}
-		if p.D.Stats() != want.D.Stats() {
-			t.Errorf("%v: replayed D stats %+v != inline %+v", cfg, p.D.Stats(), want.D.Stats())
-		}
-	}
+	rec := record(refs)
 	if rec.Counts != col.Counts {
-		t.Errorf("counts diverged: %+v vs %+v", rec.Counts, col.Counts)
+		t.Fatalf("counts diverged: %+v vs %+v", rec.Counts, col.Counts)
+	}
+	fresh := func() []Pair {
+		pairs := make([]Pair, len(cfgs))
+		for i, cfg := range cfgs {
+			p, err := NewPair(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs[i] = p
+		}
+		return pairs
+	}
+	direct, streamed := fresh(), fresh()
+	rec.ReplayAll(direct)
+	rd, err := NewReader(bytes.NewReader(rec.Compact()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rd.ReplayAllContext(context.Background(), streamed); err != nil {
+		t.Fatal(err)
+	}
+	for path, pairs := range map[string][]Pair{"Recording.ReplayAll": direct, "Reader.ReplayAllContext": streamed} {
+		for i, cfg := range cfgs {
+			want := col.Pairs[i]
+			if pairs[i].I.Stats() != want.I.Stats() {
+				t.Errorf("%s %v: I stats %+v, per-reference Access %+v", path, cfg, pairs[i].I.Stats(), want.I.Stats())
+			}
+			if pairs[i].D.Stats() != want.D.Stats() {
+				t.Errorf("%s %v: D stats %+v, per-reference Access %+v", path, cfg, pairs[i].D.Stats(), want.D.Stats())
+			}
+		}
 	}
 }
 
 // TestReplayAllMatchesReplay drives the vectorized multi-pair kernel
-// and N independent single-pair replays over the same recording and
-// requires identical statistics for every pair.
+// over a stream crossing several chunk and replay-block boundaries and
+// requires every pair's statistics to equal per-reference Access.
 func TestReplayAllMatchesReplay(t *testing.T) {
-	var rec Recording
-	// Cross several chunk and replay-block boundaries.
+	var refs []ref
 	n := uint32(chunkWords + replayBlockWords + 123)
 	for i := uint32(0); i < n; i++ {
-		rec.Fetch(mem.UserCodeBase + 4*(i%3000))
-		rec.Read(mem.HeapBase + 64*(i%777))
+		refs = append(refs,
+			ref{KindFetch, mem.UserCodeBase + 4*(i%3000)},
+			ref{KindRead, mem.HeapBase + 64*(i%777)})
 		if i%4 == 0 {
-			rec.Write(mem.FrameBase + 64*(i%222))
+			refs = append(refs, ref{KindWrite, mem.FrameBase + 64*(i%222)})
 		}
 	}
-	cfgs := []cache.Config{
+	checkReplayExact(t, refs, []cache.Config{
 		{SizeBytes: 1024, BlockBytes: 64, Assoc: 1},
 		{SizeBytes: 2048, BlockBytes: 32, Assoc: 2},
 		{SizeBytes: 8192, BlockBytes: 64, Assoc: 4},
 		{SizeBytes: 8192, BlockBytes: 64, Assoc: 8},
-	}
-	pairs := make([]Pair, len(cfgs))
-	for i, cfg := range cfgs {
-		p, err := NewPair(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs[i] = p
-	}
-	rec.ReplayAll(pairs)
-	for i, cfg := range cfgs {
-		want, err := rec.ReplayPair(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pairs[i].I.Stats() != want.I.Stats() {
-			t.Errorf("%v: ReplayAll I stats %+v != Replay %+v", cfg, pairs[i].I.Stats(), want.I.Stats())
-		}
-		if pairs[i].D.Stats() != want.D.Stats() {
-			t.Errorf("%v: ReplayAll D stats %+v != Replay %+v", cfg, pairs[i].D.Stats(), want.D.Stats())
-		}
-	}
+	})
 }
 
 func TestReplayPairRejectsBadGeometry(t *testing.T) {

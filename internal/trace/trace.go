@@ -10,6 +10,18 @@
 // cache pairs afterwards, turning the geometry fan-out into independent
 // passes that a worker pool can run concurrently. Replay is
 // bit-equivalent to the inline Collector fan-out.
+//
+// Replay skips most of the stream: about 83% of fetches and 59% of data
+// references at paper scale touch the same 64-byte block as the
+// previous reference of their stream, and the shared kernel drops each
+// such repeat before the caches see it, crediting it to Stats.Accesses
+// as a hit. This is exact only because every cache is LRU, where the repeat
+// is a hit on the set's most recently used line and so changes no
+// replacement state. Its one possible effect, dirtying the line, is
+// kept by folding a dropped write's flag into the data reference it
+// repeats. Block identity is taken at the smallest block size among the
+// pairs replayed together, and run tracking restarts at every replay
+// block, whose references the caches have already consumed.
 package trace
 
 import (

@@ -277,6 +277,7 @@ func RunContext(ctx context.Context, impl Impl, p *Program, opt Options, geoms .
 	if err != nil {
 		return nil, err
 	}
+	defer sim.Close()
 	rec := &trace.Recording{}
 	sim.Tracer = rec
 	if err := sim.RunContext(ctx); err != nil {

@@ -1,6 +1,7 @@
 package jmtam
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -144,5 +145,26 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := Run(MD, Benchmark("ss", 10), Options{MaxInstructions: 5}); err == nil {
 		t.Error("instruction limit not surfaced")
+	}
+}
+
+// TestRunRecyclesMemory checks that a façade run returns its pooled
+// simulated memory: after a warm-up run has filled the pool, one more
+// run must allocate only its recording and bookkeeping, not a fresh
+// zeroed machine memory (about 25 MB).
+func TestRunRecyclesMemory(t *testing.T) {
+	run := func() {
+		if _, err := Run(AM, Benchmark("qs", 20), Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	const limit = 4 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("second Run allocated %.1f MB, want under %d MB", float64(got)/(1<<20), limit>>20)
 	}
 }
